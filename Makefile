@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race morphdebug vet morphlint lint-baseline bench serve-smoke crash-smoke ckpt-smoke chaos-smoke cluster-smoke obs-smoke proof-smoke tenant-smoke verify clean
+.PHONY: build test race morphdebug vet morphlint lint-baseline bench fuzz serve-smoke crash-smoke ckpt-smoke chaos-smoke cluster-smoke obs-smoke proof-smoke tenant-smoke verify clean
 
 build:
 	$(GO) build ./...
@@ -33,6 +33,13 @@ lint-baseline: bin/morphlint
 
 bench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ ./...
+
+# Native fuzzing of the state-segment decoders every untrusted snapshot,
+# delta, migration or bootstrap byte reaches: 15 s per target, failing on
+# a panic or an untyped error.
+fuzz:
+	$(GO) test -run=^$$ -fuzz=^FuzzReadSegment$$ -fuzztime=15s ./internal/ckpt/
+	$(GO) test -run=^$$ -fuzz=^FuzzShardLoad$$ -fuzztime=15s ./internal/shard/
 
 bin/morphserve: $(shell find cmd/morphserve internal/server internal/shard internal/wire internal/secmem internal/tenant -name '*.go' -not -name '*_test.go' 2>/dev/null)
 	$(GO) build -o bin/morphserve ./cmd/morphserve

@@ -2,6 +2,7 @@ package ckpt
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"os"
@@ -10,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/securemem/morphtree/internal/counters"
 	"github.com/securemem/morphtree/internal/secmem"
 )
 
@@ -101,39 +103,100 @@ func TestStreamFailsClosed(t *testing.T) {
 	}
 }
 
+// testEngines returns n blank engines of one small organization.
+func testEngines(t testing.TB, n int) []*secmem.Memory {
+	t.Helper()
+	out := make([]*secmem.Memory, n)
+	for i := range out {
+		m, err := secmem.New(secmem.Config{
+			MemoryBytes: 1 << 16,
+			Enc:         counters.MorphSpec(true),
+			Tree:        []counters.Spec{counters.MorphSpec(true)},
+			Key:         bytes.Repeat([]byte{byte(i + 1)}, 16),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[i] = m
+	}
+	return out
+}
+
+func testLine(shard int, i uint64) []byte {
+	return bytes.Repeat([]byte{byte(shard*31) ^ byte(i)}, secmem.LineBytes)
+}
+
+// writeEngines writes lines 0..n-1 of every engine.
+func writeEngines(t testing.TB, engines []*secmem.Memory, n uint64) {
+	t.Helper()
+	for s, m := range engines {
+		for i := uint64(0); i < n; i++ {
+			if err := m.Write(i*secmem.LineBytes, testLine(s, i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
+// deltaPayload returns a delta segment payload: the header, then each
+// engine's dirty records.
+func deltaPayload(engines []*secmem.Memory, hdr secmem.SegmentHeader) []byte {
+	buf := secmem.AppendSegmentHeader(nil, hdr, engines)
+	for _, m := range engines {
+		buf, _, _ = m.CollectDirty(buf)
+	}
+	return buf
+}
+
+func writeBytes(p []byte) func(io.Writer) error {
+	return func(w io.Writer) error {
+		_, err := w.Write(p)
+		return err
+	}
+}
+
+func wantIntegrity(t *testing.T, what string, err error) {
+	t.Helper()
+	var ie *secmem.IntegrityError
+	if !errors.As(err, &ie) {
+		t.Fatalf("%s: got %v, want IntegrityError", what, err)
+	}
+}
+
 func TestDeltaFileRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	hdr := DeltaHeader{
+	src := testEngines(t, 2)
+	writeEngines(t, src, 12)
+	hdr := secmem.SegmentHeader{
 		Seq: 5, Base: 4,
 		CoveredLSN:    []uint64{10, 20},
 		CoveredWrites: []uint64{9, 18},
 	}
-	lines := [][]secmem.DirtyLine{
-		{
-			{Level: -1, Index: 3, Line: bytes.Repeat([]byte{1}, 64), MAC: 0xDEAD},
-			{Level: 0, Index: 7, Line: bytes.Repeat([]byte{2}, 64)},
-		},
-		{
-			{Level: 2, Index: 0, Line: bytes.Repeat([]byte{3}, 64)},
-		},
-	}
 	path := DeltaPath(dir, 5, 4)
-	if err := WriteDelta(path, testKey, hdr, lines); err != nil {
+	if err := WriteSegmentFile(path, testKey, Delta(5, 4), writeBytes(deltaPayload(src, hdr))); err != nil {
 		t.Fatal(err)
 	}
-	got, gotLines, err := ReadDelta(path, testKey, 5, 4)
+	// Everything in a fresh engine is dirty, so the delta rebuilds the
+	// whole state on blank engines.
+	dst := testEngines(t, 2)
+	var data int
+	got, n, err := ReadSegmentFile(path, testKey, Delta(5, 4), dst, func(int, uint64) { data++ })
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got.Seq != 5 || got.Base != 4 || got.CoveredLSN[1] != 20 || got.CoveredWrites[0] != 9 {
 		t.Fatalf("header mismatch: %+v", got)
 	}
-	if len(gotLines) != 2 || len(gotLines[0]) != 2 || len(gotLines[1]) != 1 {
-		t.Fatalf("line shape mismatch")
+	if data != 24 || n <= data {
+		t.Fatalf("installed %d records with %d data lines, want 24 data lines plus roots and counters", n, data)
 	}
-	d := gotLines[0][0]
-	if d.Level != -1 || d.Index != 3 || d.MAC != 0xDEAD || !bytes.Equal(d.Line, lines[0][0].Line) {
-		t.Fatalf("line content mismatch: %+v", d)
+	for s, m := range dst {
+		for i := uint64(0); i < 12; i++ {
+			line, err := m.Read(i * secmem.LineBytes)
+			if err != nil || !bytes.Equal(line, testLine(s, i)) {
+				t.Fatalf("shard %d line %d after round trip: %v", s, i, err)
+			}
+		}
 	}
 
 	// A delta renamed to another chain position fails authentication.
@@ -141,11 +204,8 @@ func TestDeltaFileRoundTrip(t *testing.T) {
 	if err := os.Rename(path, moved); err != nil {
 		t.Fatal(err)
 	}
-	_, _, err = ReadDelta(moved, testKey, 6, 5)
-	var ie *secmem.IntegrityError
-	if !errors.As(err, &ie) {
-		t.Fatalf("renamed delta: got %v, want IntegrityError", err)
-	}
+	_, _, err = ReadSegmentFile(moved, testKey, Delta(6, 5), testEngines(t, 2), nil)
+	wantIntegrity(t, "renamed delta", err)
 
 	// At-rest bit flip fails authentication.
 	if err := os.Rename(moved, path); err != nil {
@@ -159,10 +219,83 @@ func TestDeltaFileRoundTrip(t *testing.T) {
 	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, _, err = ReadDelta(path, testKey, 5, 4)
-	if !errors.As(err, &ie) {
-		t.Fatalf("tampered delta: got %v, want IntegrityError", err)
+	_, _, err = ReadSegmentFile(path, testKey, Delta(5, 4), testEngines(t, 2), nil)
+	wantIntegrity(t, "tampered delta", err)
+}
+
+// TestForgedCountUnderWrongKey is the regression test for the
+// parse-before-authenticate OOM: a delta sealed under an attacker's key
+// whose payload claims 2^32 lines must fail as an IntegrityError, bounded
+// by the geometry before anything is allocated.
+func TestForgedCountUnderWrongKey(t *testing.T) {
+	engines := testEngines(t, 1)
+	payload := secmem.AppendSegmentHeader(nil, secmem.SegmentHeader{Seq: 5, Base: 4}, engines)
+	payload = append(payload, make([]byte, secmem.LineBytes)...) // root line
+	payload = binary.LittleEndian.AppendUint64(payload, 1<<32)   // level-0 count
+	var sealed bytes.Buffer
+	if err := WriteSegment(&sealed, bytes.Repeat([]byte{0xEE}, 32), Delta(5, 4), writeBytes(payload)); err != nil {
+		t.Fatal(err)
 	}
+	_, _, err := ReadSegment(&sealed, testKey, Delta(5, 4), engines, nil)
+	wantIntegrity(t, "forged count", err)
+}
+
+// segmentSeeds returns sealed and bare full, delta and hibernate segments
+// with the role and engine count each decodes under.
+func segmentSeeds(t testing.TB) (roles []Role, shards []int, payloads [][]byte) {
+	full := testEngines(t, 2)
+	writeEngines(t, full, 8)
+	var buf bytes.Buffer
+	if err := secmem.WriteSegment(&buf, secmem.SegmentHeader{Seq: 1}, full); err != nil {
+		t.Fatal(err)
+	}
+	roles = append(roles, Snapshot(1))
+	shards = append(shards, 2)
+	payloads = append(payloads, buf.Bytes())
+
+	roles = append(roles, Delta(2, 1))
+	shards = append(shards, 2)
+	payloads = append(payloads, deltaPayload(full, secmem.SegmentHeader{Seq: 2, Base: 1}))
+
+	var one bytes.Buffer
+	if err := full[1].Save(&one); err != nil {
+		t.Fatal(err)
+	}
+	roles = append(roles, Hibernate(1))
+	shards = append(shards, 1)
+	payloads = append(payloads, one.Bytes())
+	return roles, shards, payloads
+}
+
+// FuzzReadSegment feeds arbitrary bytes to ReadSegment twice: as a raw
+// sealed stream, and as a payload sealed under the right key (so the
+// decoder behind the envelope is reached). Neither may panic, and every
+// error must be typed.
+func FuzzReadSegment(f *testing.F) {
+	roles, shards, payloads := segmentSeeds(f)
+	for i, p := range payloads {
+		var sealed bytes.Buffer
+		if err := WriteSegment(&sealed, testKey, roles[i], writeBytes(p)); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(uint8(i), p)
+		f.Add(uint8(i), sealed.Bytes())
+	}
+	f.Fuzz(func(t *testing.T, sel uint8, data []byte) {
+		i := int(sel) % len(roles)
+		var sealed bytes.Buffer
+		if err := WriteSegment(&sealed, testKey, roles[i], writeBytes(data)); err != nil {
+			t.Fatal(err)
+		}
+		for _, in := range [][]byte{data, sealed.Bytes()} {
+			_, _, err := ReadSegment(bytes.NewReader(in), testKey, roles[i], testEngines(t, shards[i]), nil)
+			var ie *secmem.IntegrityError
+			var me *secmem.MismatchError
+			if err != nil && !errors.As(err, &ie) && !errors.As(err, &me) {
+				t.Fatalf("untyped error: %v", err)
+			}
+		}
+	})
 }
 
 func TestParseDeltaName(t *testing.T) {

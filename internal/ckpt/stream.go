@@ -1,9 +1,9 @@
-// Package ckpt (morphckpt) is the incremental-checkpoint layer under
-// internal/durable: a streaming authenticated codec (hibernate/restore and
-// migration shipping), a delta-segment format chaining incremental
-// checkpoints to a base epoch, chain resolution for recovery and the
-// stale-epoch sweep, and a background checkpoint runner. It knows nothing
-// about WALs or committers — durable composes it.
+// Package ckpt (morphckpt) is the checkpoint layer under
+// internal/durable: a streaming authenticated envelope that seals every
+// state segment written to disk or shipped to a peer (snapshots, deltas,
+// migration hibernate streams, replica bootstraps), chain resolution for
+// recovery and the stale-epoch sweep, and a background checkpoint runner.
+// It knows nothing about WALs or committers — durable composes it.
 //
 // Everything here fails closed the same way the rest of the tree does:
 // framing damage, MAC mismatch, or role confusion (a stream decoded under
@@ -32,8 +32,9 @@ import (
 // Each frame is CRC-framed so corruption is localized and detected before
 // buffering unbounded garbage; the trailing keyed MAC authenticates the
 // whole stream (including the header, so version/context are covered).
-// The context string binds the key to a role — a hibernate stream cannot
-// be replayed as a delta segment even under the same master key.
+// The context string binds the key to a role and chain position — a
+// hibernate stream cannot be replayed as a delta segment, nor a snapshot
+// under another epoch, even under the same key (see Role).
 const (
 	streamMagic   = "MCST"
 	streamVersion = 1
@@ -62,8 +63,7 @@ type StreamWriter struct {
 	w       io.Writer
 	mac     hash.Hash
 	context string
-	buf     [ChunkBytes]byte
-	n       int
+	buf     []byte // the frame being filled, grown up to ChunkBytes
 	closed  bool
 }
 
@@ -100,10 +100,10 @@ func (sw *StreamWriter) Write(p []byte) (int, error) {
 	}
 	total := len(p)
 	for len(p) > 0 {
-		n := copy(sw.buf[sw.n:], p)
-		sw.n += n
+		n := min(len(p), ChunkBytes-len(sw.buf))
+		sw.buf = append(sw.buf, p[:n]...)
 		p = p[n:]
-		if sw.n == ChunkBytes {
+		if len(sw.buf) == ChunkBytes {
 			if err := sw.flushFrame(); err != nil {
 				return total - len(p), err
 			}
@@ -113,23 +113,23 @@ func (sw *StreamWriter) Write(p []byte) (int, error) {
 }
 
 func (sw *StreamWriter) flushFrame() error {
-	if sw.n == 0 {
+	if len(sw.buf) == 0 {
 		return nil
 	}
 	var hdr [4]byte
-	binary.LittleEndian.PutUint32(hdr[:], uint32(sw.n))
+	binary.LittleEndian.PutUint32(hdr[:], uint32(len(sw.buf)))
 	if err := sw.emit(hdr[:]); err != nil {
 		return err
 	}
-	if err := sw.emit(sw.buf[:sw.n]); err != nil {
+	if err := sw.emit(sw.buf); err != nil {
 		return err
 	}
 	var crc [4]byte
-	binary.LittleEndian.PutUint32(crc[:], crc32.Checksum(sw.buf[:sw.n], castagnoli))
+	binary.LittleEndian.PutUint32(crc[:], crc32.Checksum(sw.buf, castagnoli))
 	if err := sw.emit(crc[:]); err != nil {
 		return err
 	}
-	sw.n = 0
+	sw.buf = sw.buf[:0]
 	return nil
 }
 

@@ -248,7 +248,7 @@ func (n *Node) installSnapshot(old *durable.Memory, resp *wire.ReplicateResponse
 	if err := old.Close(); err != nil {
 		n.logf("cluster: %s closing pre-bootstrap state: %v", n.cfg.Self, err)
 	}
-	fresh, err := durable.InstallSnapshot(n.shcfg, n.dcfg, bytes.NewReader(resp.Snapshot), resp.SnapMarks)
+	fresh, err := durable.InstallSnapshot(n.shcfg, n.dcfg, bytes.NewReader(resp.Snapshot))
 	if err != nil {
 		return fmt.Errorf("cluster: install snapshot: %w", err)
 	}

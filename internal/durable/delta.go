@@ -2,6 +2,7 @@ package durable
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -35,7 +36,12 @@ func (m *Memory) CheckpointDelta() error {
 	covered := make([]uint64, len(m.commits))
 	coveredWrites := make([]uint64, len(m.commits))
 	cuts := make([]uint32, len(m.commits))
-	lines := make([][]secmem.DirtyLine, len(m.commits))
+	oldSeq := m.seq.Load()
+	newSeq := oldSeq + 1
+	// Sized from the previous cut so the copy inside the freeze rarely
+	// has to grow the buffer.
+	seg := make([]byte, 0, m.deltaHint)
+	total := 0
 
 	// Freeze: sync locks then append locks, matching syncTo's ordering.
 	// Only the in-memory dirty copy happens inside; every lock is released
@@ -55,9 +61,15 @@ func (m *Memory) CheckpointDelta() error {
 		}
 		covered[i] = c.lsn
 		coveredWrites[i] = c.writes
-		sh := lines[i]
-		cuts[i] = c.eng.CollectDirty(func(d secmem.DirtyLine) { sh = append(sh, d) })
-		lines[i] = sh
+	}
+	if ferr == nil {
+		hdr := secmem.SegmentHeader{Seq: newSeq, Base: oldSeq, CoveredLSN: covered, CoveredWrites: coveredWrites}
+		seg = secmem.AppendSegmentHeader(seg, hdr, m.sh.Engines())
+		for i, c := range m.commits {
+			var n int
+			seg, cuts[i], n = c.eng.CollectDirty(seg)
+			total += n
+		}
 	}
 	for i := len(m.commits) - 1; i >= 0; i-- {
 		m.commits[i].mu.Unlock()
@@ -68,6 +80,7 @@ func (m *Memory) CheckpointDelta() error {
 	if ferr != nil {
 		return ferr
 	}
+	m.deltaHint = len(seg) + len(seg)/4
 
 	// The delta claims coverage up to covered[i]; fsync that prefix so a
 	// post-crash segment never ends below it (replay past the chain needs
@@ -78,22 +91,21 @@ func (m *Memory) CheckpointDelta() error {
 		}
 	}
 
-	oldSeq := m.seq.Load()
-	newSeq := oldSeq + 1
-	hdr := ckpt.DeltaHeader{Seq: newSeq, Base: oldSeq, CoveredLSN: covered, CoveredWrites: coveredWrites}
 	path := ckpt.DeltaPath(m.cfg.Dir, newSeq, oldSeq)
-	if err := ckpt.WriteDelta(path, deltaKey(m.shcfg.Mem.Key), hdr, lines); err != nil {
+	err := ckpt.WriteSegmentFile(path, stateKey(m.shcfg.Mem.Key), ckpt.Delta(newSeq, oldSeq), func(w io.Writer) error {
+		_, err := w.Write(seg)
 		return err
+	})
+	if err != nil {
+		return fmt.Errorf("durable: %w", err)
 	}
 	if err := wal.SyncDir(m.cfg.Dir); err != nil {
 		return err
 	}
 
 	// The delta is durable: commit the dirty floor and advance the epoch.
-	var total uint64
 	for i, c := range m.commits {
 		c.eng.CommitDirty(cuts[i])
-		total += uint64(len(lines[i]))
 	}
 	m.seq.Store(newSeq)
 	m.deltaCkpts.Add(1)
@@ -106,6 +118,6 @@ func (m *Memory) CheckpointDelta() error {
 	}
 	dur := time.Since(start)
 	m.deltaLat.Record(dur)
-	m.tracer.Emit(obs.KindDeltaCkpt, -1, newSeq, total, dur)
+	m.tracer.Emit(obs.KindDeltaCkpt, -1, newSeq, uint64(total), dur)
 	return firstErr
 }

@@ -355,7 +355,7 @@ func TestDirtyFloorSurvivesFailedDelta(t *testing.T) {
 	shcfg := testShardConfig(t, 2, 1<<13)
 	m, _ := mustOpen(t, shcfg, Config{Dir: dir, Sync: SyncAlways})
 	addrs := writeSome(t, m, 1, 10)
-	// Make the directory read-only so WriteDelta's temp file fails.
+	// Make the directory read-only so the delta's temp file fails.
 	if err := os.Chmod(dir, 0o555); err != nil {
 		t.Fatal(err)
 	}
@@ -524,6 +524,90 @@ func TestShardStreamMigration(t *testing.T) {
 		if err != nil || !bytes.Equal(got, want) {
 			t.Fatalf("migrated line %#x lost across recipient restart: %v", addr, err)
 		}
+	}
+}
+
+// TestApplyMigratedConcurrentWatermark: the cluster reads the durable
+// watermark (SyncedLSNs) while migrated tail records apply; under -race
+// the two must be ordered.
+func TestApplyMigratedConcurrentWatermark(t *testing.T) {
+	shcfg := testShardConfig(t, 2, 1<<13)
+	donor, _ := mustOpen(t, shcfg, Config{Dir: t.TempDir(), Sync: SyncAlways, ReplHistory: 4096})
+	defer donor.Close()
+	recip, _ := mustOpen(t, shcfg, Config{Dir: t.TempDir(), Sync: SyncAlways})
+	defer recip.Close()
+	writeSome(t, donor, 1, 10)
+	var spill bytes.Buffer
+	mark, err := donor.SaveShardStream(1, &spill)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := recip.InstallShardStream(1, &spill, mark); err != nil {
+		t.Fatal(err)
+	}
+	writeSome(t, donor, 2, 40)
+	recs, ok, err := donor.ReadRecords(1, mark, 1000)
+	if err != nil || !ok || len(recs) == 0 {
+		t.Fatalf("tail read: %d records, ok=%v err=%v", len(recs), ok, err)
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := range recs {
+			if err := recip.ApplyMigrated(1, recs[i:i+1]); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	for running := true; running; {
+		select {
+		case <-done:
+			running = false
+		default:
+			recip.SyncedLSNs()
+		}
+	}
+	if got, want := recip.SyncedLSNs()[1], recs[len(recs)-1].LSN; got != want {
+		t.Fatalf("watermark %d after the tail, want %d", got, want)
+	}
+}
+
+// TestSegmentPositionAndRoleBinding: snapshot.2 renamed to snapshot.3, and
+// a migration hibernate segment planted as delta.3.2, each fail recovery
+// as an IntegrityError — every segment is sealed under one key, and its
+// stream context binds it to its role and chain position.
+func TestSegmentPositionAndRoleBinding(t *testing.T) {
+	shcfg := testShardConfig(t, 2, 1<<13)
+	dir := t.TempDir()
+	m, _ := mustOpen(t, shcfg, Config{Dir: dir, Sync: SyncAlways})
+	writeSome(t, m, 1, 20)
+	if err := m.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	var hib bytes.Buffer
+	if _, err := m.SaveShardStream(0, &hib); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	if err := os.Rename(SnapshotPath(dir, 2), SnapshotPath(dir, 3)); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := Open(shcfg, Config{Dir: dir}); !isIntegrityError(err) {
+		t.Fatalf("snapshot.2 renamed to snapshot.3: got %v, want IntegrityError", err)
+	}
+	if err := os.Rename(SnapshotPath(dir, 3), SnapshotPath(dir, 2)); err != nil {
+		t.Fatal(err)
+	}
+
+	if err := os.WriteFile(ckpt.DeltaPath(dir, 3, 2), hib.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := Open(shcfg, Config{Dir: dir}); !isIntegrityError(err) {
+		t.Fatalf("hibernate segment as delta.3.2: got %v, want IntegrityError", err)
 	}
 }
 

@@ -6,9 +6,12 @@
 // tails (truncate and continue), and fails closed with an IntegrityError on
 // any at-rest tampering.
 //
-// Layout of a data directory (seq is a monotonically increasing epoch):
+// Layout of a data directory (seq is a monotonically increasing epoch;
+// snapshots and deltas are sealed state segments, DESIGN.md "State
+// format"):
 //
 //	snapshot.<seq>        atomic full-state snapshot (temp-file + rename)
+//	delta.<seq>.<base>    lines dirtied between epochs base and seq
 //	wal.<seq>-<shard>     shard's journal of mutations since snapshot <seq>
 //
 // Invariants the checkpoint sequence maintains:
@@ -237,8 +240,6 @@ type Memory struct {
 	shcfg shard.Config
 	sh    *shard.Sharded
 
-	snapKey []byte
-
 	// Observability instruments (nil-safe; immutable after Open).
 	fsyncLat  *obs.Histogram // wal.fsync.latency
 	batchHist *obs.Histogram // wal.group_commit.batch (records per fsync)
@@ -247,7 +248,9 @@ type Memory struct {
 	tracer    *obs.Tracer
 
 	ckptMu sync.Mutex // serializes Checkpoint / CheckpointDelta / Flush / Close
-	seq    atomic.Uint64
+	// deltaHint sizes the next delta's buffer from the last one (ckptMu).
+	deltaHint int
+	seq       atomic.Uint64
 	// segSeq is the epoch of the live WAL segments — the full snapshot
 	// the current delta chain is based on. seq == segSeq means no deltas
 	// are outstanding.
@@ -287,24 +290,13 @@ func walKey(master []byte, shardIdx int, seq uint64) []byte {
 	return h.Sum(nil)
 }
 
-func snapshotKey(master []byte) []byte {
+// stateKey seals every state segment this layer writes or ships:
+// snapshots, deltas, migration hibernate streams and replica bootstraps.
+// The ckpt stream context binds each segment to its role and chain
+// position on top of this one key.
+func stateKey(master []byte) []byte {
 	h := hmac.New(sha256.New, master)
-	fmt.Fprintf(h, "morphtree/snapshot")
-	return h.Sum(nil)
-}
-
-// deltaKey authenticates delta segments; the ckpt stream context binds
-// each file to its exact chain position on top of this role key.
-func deltaKey(master []byte) []byte {
-	h := hmac.New(sha256.New, master)
-	fmt.Fprintf(h, "morphtree/delta")
-	return h.Sum(nil)
-}
-
-// hibernateKey authenticates streamed hibernate/migration state.
-func hibernateKey(master []byte) []byte {
-	h := hmac.New(sha256.New, master)
-	fmt.Fprintf(h, "morphtree/hibernate")
+	fmt.Fprintf(h, "morphtree/state")
 	return h.Sum(nil)
 }
 
@@ -340,7 +332,8 @@ func (m *Memory) VerifyAll() error { return m.sh.VerifyAll() }
 func (m *Memory) Stats() secmem.Stats { return m.sh.Stats() }
 
 // Save streams the current state in shard.Save format (the wire SNAPSHOT
-// op; unrelated to the on-disk snapshot files).
+// op: the bare state segment, without the envelope the on-disk snapshot
+// files carry).
 func (m *Memory) Save(w io.Writer) error { return m.sh.Save(w) }
 
 // FlipDataBit forwards the adversary interface (wire TAMPER op).

@@ -5,6 +5,7 @@ import (
 	"io"
 
 	"github.com/securemem/morphtree/internal/ckpt"
+	"github.com/securemem/morphtree/internal/secmem"
 	"github.com/securemem/morphtree/internal/wal"
 )
 
@@ -38,8 +39,8 @@ func (e *ShardFencedError) Error() string {
 }
 
 // SaveShardStream freezes shardIdx, fsyncs its journal, and writes the
-// shard engine's state to w through the authenticated stream codec. It
-// returns the mark: the shard's last LSN, which the streamed state covers
+// shard engine's state to w as a sealed one-shard segment. It returns the
+// mark: the shard's last LSN, which the streamed state covers
 // exactly — tail catch-up starts at mark+1. Callers pass a local spill
 // file as w so the freeze lasts only as long as a local sequential write.
 func (m *Memory) SaveShardStream(shardIdx int, w io.Writer) (uint64, error) {
@@ -65,14 +66,11 @@ func (m *Memory) SaveShardStream(shardIdx int, w io.Writer) (uint64, error) {
 	}
 	c.synced = c.lsn
 	mark := c.lsn
-	sw, err := ckpt.NewStreamWriter(w, hibernateKey(m.shcfg.Mem.Key), ckpt.HibernateContext)
+	hdr := secmem.SegmentHeader{CoveredLSN: []uint64{mark}, CoveredWrites: []uint64{c.writes}}
+	err := ckpt.WriteSegment(w, stateKey(m.shcfg.Mem.Key), ckpt.Hibernate(shardIdx), func(w io.Writer) error {
+		return secmem.WriteSegment(w, hdr, []*secmem.Memory{c.eng})
+	})
 	if err != nil {
-		return 0, err
-	}
-	if err := c.eng.Save(sw); err != nil {
-		return 0, err
-	}
-	if err := sw.Close(); err != nil {
 		return 0, err
 	}
 	return mark, nil
@@ -81,7 +79,8 @@ func (m *Memory) SaveShardStream(shardIdx int, w io.Writer) (uint64, error) {
 // InstallShardStream replaces shardIdx's engine state with a
 // SaveShardStream stream and repositions the committer at mark. The
 // stream is fully decoded and its MAC trailer verified before anything is
-// adopted, so a forged or truncated ship leaves the recipient untouched.
+// adopted, so a forged or truncated ship — or one whose authenticated
+// mark is not the one claimed — leaves the recipient untouched.
 //
 // Nothing is persisted here: the installed state lives in memory (stamped
 // dirty, so any checkpoint that does run captures it) until the cut-over
@@ -95,24 +94,26 @@ func (m *Memory) InstallShardStream(shardIdx int, r io.Reader, mark uint64) erro
 	if shardIdx < 0 || shardIdx >= len(m.commits) {
 		return fmt.Errorf("durable: shard %d out of range [0, %d)", shardIdx, len(m.commits))
 	}
-	sr, err := ckpt.NewStreamReader(r, hibernateKey(m.shcfg.Mem.Key), ckpt.HibernateContext)
+	c := m.commits[shardIdx]
+	// Decode and authenticate into a blank engine, outside every lock:
+	// the live shard keeps serving until the verified state is adopted.
+	fresh, err := c.eng.Blank()
 	if err != nil {
 		return err
 	}
-	c := m.commits[shardIdx]
+	hdr, _, err := ckpt.ReadSegment(r, stateKey(m.shcfg.Mem.Key), ckpt.Hibernate(shardIdx), []*secmem.Memory{fresh}, nil)
+	if err != nil {
+		return err
+	}
+	if hdr.CoveredLSN[0] != mark {
+		return &secmem.IntegrityError{Level: -1, Index: mark,
+			Reason: fmt.Sprintf("hibernate segment for shard %d covers LSN %d, not the install mark", shardIdx, hdr.CoveredLSN[0])}
+	}
 	c.syncMu.Lock()
 	defer c.syncMu.Unlock()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	staged, err := c.eng.StageRestore(sr)
-	if err != nil {
-		return err
-	}
-	// Everything decoded; now verify the whole-stream MAC before adopting.
-	if err := sr.Drain(); err != nil {
-		return err
-	}
-	c.eng.CommitRestore(staged)
+	c.eng.CommitRestore(fresh)
 	c.lsn = mark
 	c.synced = mark
 	c.baseLSN = mark
@@ -142,6 +143,9 @@ func (m *Memory) ApplyMigrated(shardIdx int, recs []wal.Record) error {
 		return fmt.Errorf("durable: shard %d out of range [0, %d)", shardIdx, len(m.commits))
 	}
 	c := m.commits[shardIdx]
+	// syncMu guards synced, which SyncedLSNs reads concurrently.
+	c.syncMu.Lock()
+	defer c.syncMu.Unlock()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for _, r := range recs {

@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"strings"
 
+	"github.com/securemem/morphtree/internal/ckpt"
 	"github.com/securemem/morphtree/internal/secmem"
 	"github.com/securemem/morphtree/internal/shard"
 	"github.com/securemem/morphtree/internal/wal"
@@ -223,9 +224,10 @@ func (m *Memory) ApplyReplicated(shardIdx int, recs []wal.Record) error {
 }
 
 // SaveMarks freezes the memory, flushes every journaled record durable, and
-// streams the full state in shard.Save format to w, returning the per-shard
-// LSN vector the blob covers. A cold or diverged follower bootstraps from
-// exactly this pair via InstallSnapshot.
+// streams the full state to w as a sealed bootstrap segment whose header
+// carries the per-shard LSN vector it covers; that vector is returned too.
+// A cold or diverged follower bootstraps from the segment via
+// InstallSnapshot.
 func (m *Memory) SaveMarks(w io.Writer) ([]uint64, error) {
 	if m.closed.Load() {
 		return nil, fmt.Errorf("durable: save after Close")
@@ -247,6 +249,7 @@ func (m *Memory) SaveMarks(w io.Writer) ([]uint64, error) {
 		}
 	}()
 	marks := make([]uint64, len(m.commits))
+	writes := make([]uint64, len(m.commits))
 	for i, c := range m.commits {
 		if err := c.log.Flush(); err != nil {
 			return nil, err
@@ -259,25 +262,32 @@ func (m *Memory) SaveMarks(w io.Writer) ([]uint64, error) {
 		}
 		c.synced = c.lsn
 		marks[i] = c.lsn
+		writes[i] = c.writes
 	}
-	if err := m.sh.Save(w); err != nil {
+	hdr := secmem.SegmentHeader{CoveredLSN: marks, CoveredWrites: writes}
+	err := ckpt.WriteSegment(w, stateKey(m.shcfg.Mem.Key), ckpt.Bootstrap(), func(w io.Writer) error {
+		return secmem.WriteSegment(w, hdr, m.sh.Engines())
+	})
+	if err != nil {
 		return nil, err
 	}
 	return marks, nil
 }
 
-// InstallSnapshot bootstraps cfg.Dir from a SaveMarks pair: the directory's
-// prior durable state (if any) is discarded, the blob becomes snapshot 1
-// with marks as its covered-LSN vector, and fresh segments are created so
-// replication resumes at exactly marks. The per-shard write counters
-// restart at zero (they feed stats, not recovery). Returns the opened
-// memory.
-func InstallSnapshot(shcfg shard.Config, cfg Config, blob io.Reader, marks []uint64) (*Memory, error) {
+// InstallSnapshot bootstraps cfg.Dir from a SaveMarks segment. The segment
+// is decoded and authenticated before anything in cfg.Dir is touched, so a
+// forged or damaged one fails as *secmem.IntegrityError and leaves the
+// directory's prior state intact. Then the prior durable state (if any) is
+// discarded, the state becomes snapshot 1 covering the segment's marks,
+// and fresh segments are created so replication resumes at exactly those
+// marks. Returns the opened memory.
+func InstallSnapshot(shcfg shard.Config, cfg Config, seg io.Reader) (*Memory, error) {
 	cfg = cfg.withDefaults()
-	if len(marks) != shcfg.Shards {
-		return nil, fmt.Errorf("durable: install snapshot: %d marks for %d shards", len(marks), shcfg.Shards)
+	sh, err := shard.New(shcfg)
+	if err != nil {
+		return nil, err
 	}
-	sh, err := shard.Load(shcfg, blob)
+	hdr, _, err := ckpt.ReadSegment(seg, stateKey(shcfg.Mem.Key), ckpt.Bootstrap(), sh.Engines(), nil)
 	if err != nil {
 		return nil, fmt.Errorf("durable: install snapshot: %w", err)
 	}
@@ -298,38 +308,10 @@ func InstallSnapshot(shcfg shard.Config, cfg Config, blob io.Reader, marks []uin
 			return nil, fmt.Errorf("durable: discard %s: %w", name, err)
 		}
 	}
-	m := &Memory{
-		cfg:       cfg,
-		shcfg:     shcfg,
-		snapKey:   snapshotKey(shcfg.Mem.Key),
-		fsyncLat:  cfg.Obs.Histogram("wal.fsync.latency"),
-		batchHist: cfg.Obs.Histogram("wal.group_commit.batch"),
-		ckptLat:   cfg.Obs.Histogram("durable.checkpoint.latency"),
-		deltaLat:  cfg.Obs.Histogram("durable.delta.latency"),
-		tracer:    cfg.Tracer,
-	}
-	m.sh = sh
-	m.seq.Store(1)
-	m.segSeq.Store(1)
-	m.initCommitters(marks, make([]uint64, shcfg.Shards))
-	if err := m.writeSnapshot(1, marks, make([]uint64, shcfg.Shards)); err != nil {
+	m := newMemory(shcfg, cfg, sh)
+	if err := m.bootstrap(hdr.CoveredLSN, hdr.CoveredWrites); err != nil {
 		return nil, err
 	}
-	for i, c := range m.commits {
-		l, err := wal.Create(SegmentPath(cfg.Dir, 1, i), wal.Options{Key: walKey(shcfg.Mem.Key, i, 1)})
-		if err != nil {
-			return nil, err
-		}
-		c.log = l
-	}
-	if err := wal.SyncDir(cfg.Dir); err != nil {
-		return nil, err
-	}
-	m.checkpoints.Add(1)
-	if cfg.Sync == SyncInterval {
-		m.stopc = make(chan struct{})
-		m.wg.Add(1)
-		go m.flusher()
-	}
+	m.start()
 	return m, nil
 }

@@ -223,7 +223,7 @@ func TestSaveMarksInstallSnapshotBootstrap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := InstallSnapshot(shcfg, Config{Dir: t.TempDir(), Sync: SyncAlways, NoAudit: true}, &blob, marks)
+	r, err := InstallSnapshot(shcfg, Config{Dir: t.TempDir(), Sync: SyncAlways, NoAudit: true}, &blob)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,6 +254,57 @@ func TestSaveMarksInstallSnapshotBootstrap(t *testing.T) {
 	}
 	if err := r.VerifyAll(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestInstallSnapshotRejectsTamperedSegment: a bootstrap segment with one
+// flipped byte — in the stream header, the payload or the MAC trailer — is
+// refused as an IntegrityError before the replica's directory is touched,
+// so its prior state still opens and reads back its acknowledged writes.
+func TestInstallSnapshotRejectsTamperedSegment(t *testing.T) {
+	shcfg := testShardConfig(t, 2, 64<<10)
+	p, _ := mustOpen(t, shcfg, Config{Dir: t.TempDir(), Sync: SyncAlways, NoAudit: true})
+	defer func() { _ = p.Close() }()
+	for i := 0; i < 20; i++ {
+		addr := uint64(i) * LineBytes
+		if err := p.Write(addr, fill(addr, 4)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var seg bytes.Buffer
+	if _, err := p.SaveMarks(&seg); err != nil {
+		t.Fatal(err)
+	}
+
+	dir := t.TempDir()
+	r, _ := mustOpen(t, shcfg, Config{Dir: dir, Sync: SyncAlways, NoAudit: true})
+	for i := 0; i < 8; i++ {
+		addr := uint64(i) * LineBytes
+		if err := r.Write(addr, fill(addr, 7)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, off := range []int{10, seg.Len() / 2, seg.Len() - 1} {
+		forged := append([]byte(nil), seg.Bytes()...)
+		forged[off] ^= 0x01
+		_, err := InstallSnapshot(shcfg, Config{Dir: dir, Sync: SyncAlways, NoAudit: true}, bytes.NewReader(forged))
+		if !isIntegrityError(err) {
+			t.Fatalf("byte %d flipped: InstallSnapshot returned %v, want *secmem.IntegrityError", off, err)
+		}
+	}
+
+	re, _ := mustOpen(t, shcfg, Config{Dir: dir, Sync: SyncAlways, NoAudit: true})
+	defer func() { _ = re.Close() }()
+	for i := 0; i < 8; i++ {
+		addr := uint64(i) * LineBytes
+		got, err := re.Read(addr)
+		if err != nil || !bytes.Equal(got, fill(addr, 7)) {
+			t.Fatalf("acked line %#x lost to a refused bootstrap: %v", addr, err)
+		}
 	}
 }
 

@@ -1,11 +1,6 @@
 package durable
 
 import (
-	"bufio"
-	"bytes"
-	"crypto/hmac"
-	"crypto/sha256"
-	"encoding/binary"
 	"fmt"
 	"io"
 	"os"
@@ -19,24 +14,6 @@ import (
 	"github.com/securemem/morphtree/internal/secmem"
 	"github.com/securemem/morphtree/internal/shard"
 	"github.com/securemem/morphtree/internal/wal"
-)
-
-// Snapshot file format (integers little-endian):
-//
-//	magic "MDSS" | u64 version | u64 seq | u64 nshards |
-//	nshards × (u64 coveredLSN, u64 coveredWrites) |
-//	shard.Save blob | 32-byte HMAC-SHA256 over everything before it
-//
-// The trailing keyed MAC authenticates the whole file — including the
-// on-chip root the shard blob carries and the coverage header replay
-// starts from — so any at-rest edit fails recovery with an
-// *secmem.IntegrityError. (Substituting an entire older, self-consistent
-// {snapshot, WAL} directory is rollback, which needs the root anchored in
-// trusted storage and is documented out of scope; see DESIGN.md §10.)
-const (
-	snapMagic   = "MDSS"
-	snapVersion = 1
-	snapMACLen  = sha256.Size
 )
 
 // SnapshotPath names epoch seq's snapshot file.
@@ -72,116 +49,24 @@ func parseSeq(name string) (seq uint64, shardIdx int, isSnap bool, ok bool) {
 	return 0, 0, false, false
 }
 
-// writeSnapshot captures the engine state as snapshot.<seq> via temp file,
-// fsync, atomic rename, and directory fsync. Callers hold every shard's
-// locks, so the state is frozen for the duration.
-func (m *Memory) writeSnapshot(seq uint64, covered, coveredWrites []uint64) error {
-	final := SnapshotPath(m.cfg.Dir, seq)
-	tmp := final + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+// writeFull persists the full state as snapshot.<seq> — a state segment
+// with base 0 — via temp file, fsync, atomic rename, and directory fsync.
+// The sealing MAC covers everything recovery trusts, the on-chip roots
+// and the coverage replay starts from included, so any at-rest edit fails
+// recovery with an *secmem.IntegrityError. (Substituting an entire older,
+// self-consistent {snapshot, WAL} directory is rollback, which needs the
+// root anchored in trusted storage and is documented out of scope; see
+// DESIGN.md §10.) Callers hold every shard's locks, so the state is
+// frozen for the duration.
+func (m *Memory) writeFull(seq uint64, covered, coveredWrites []uint64) error {
+	hdr := secmem.SegmentHeader{Seq: seq, CoveredLSN: covered, CoveredWrites: coveredWrites}
+	err := ckpt.WriteSegmentFile(SnapshotPath(m.cfg.Dir, seq), stateKey(m.shcfg.Mem.Key), ckpt.Snapshot(seq), func(w io.Writer) error {
+		return secmem.WriteSegment(w, hdr, m.sh.Engines())
+	})
 	if err != nil {
-		return fmt.Errorf("durable: snapshot: %w", err)
-	}
-	h := hmac.New(sha256.New, m.snapKey)
-	bw := bufio.NewWriter(io.MultiWriter(f, h))
-	werr := func() error {
-		if _, err := bw.WriteString(snapMagic); err != nil {
-			return err
-		}
-		var hdr [24]byte
-		binary.LittleEndian.PutUint64(hdr[0:], snapVersion)
-		binary.LittleEndian.PutUint64(hdr[8:], seq)
-		binary.LittleEndian.PutUint64(hdr[16:], uint64(len(covered)))
-		if _, err := bw.Write(hdr[:]); err != nil {
-			return err
-		}
-		var pos [16]byte
-		for i := range covered {
-			binary.LittleEndian.PutUint64(pos[0:], covered[i])
-			binary.LittleEndian.PutUint64(pos[8:], coveredWrites[i])
-			if _, err := bw.Write(pos[:]); err != nil {
-				return err
-			}
-		}
-		if err := m.sh.Save(bw); err != nil {
-			return err
-		}
-		if err := bw.Flush(); err != nil {
-			return err
-		}
-		if _, err := f.Write(h.Sum(nil)); err != nil {
-			return err
-		}
-		return f.Sync()
-	}()
-	if werr != nil {
-		_ = f.Close()
-		_ = os.Remove(tmp)
-		return fmt.Errorf("durable: snapshot %s: %w", tmp, werr)
-	}
-	if err := f.Close(); err != nil {
-		_ = os.Remove(tmp)
-		return fmt.Errorf("durable: snapshot %s: %w", tmp, err)
-	}
-	if err := os.Rename(tmp, final); err != nil {
-		_ = os.Remove(tmp)
-		return fmt.Errorf("durable: snapshot rename: %w", err)
+		return fmt.Errorf("durable: %w", err)
 	}
 	return wal.SyncDir(m.cfg.Dir)
-}
-
-// readSnapshot authenticates and loads snapshot.<seq>. Rename atomicity
-// means a named snapshot is complete, so any malformation or MAC mismatch
-// is at-rest tampering, reported as *secmem.IntegrityError.
-func readSnapshot(path string, seq uint64, snapKey []byte, shcfg shard.Config) (*shard.Sharded, []uint64, []uint64, error) {
-	tamper := func(reason string) error {
-		return &secmem.IntegrityError{Level: -1, Index: seq, Reason: "snapshot " + path + ": " + reason}
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, nil, nil, fmt.Errorf("durable: read snapshot: %w", err)
-	}
-	minLen := len(snapMagic) + 24 + snapMACLen
-	if len(data) < minLen {
-		return nil, nil, nil, tamper(fmt.Sprintf("%d bytes, shorter than any valid snapshot", len(data)))
-	}
-	body, macGot := data[:len(data)-snapMACLen], data[len(data)-snapMACLen:]
-	h := hmac.New(sha256.New, snapKey)
-	h.Write(body)
-	if !hmac.Equal(h.Sum(nil), macGot) {
-		return nil, nil, nil, tamper("file MAC mismatch (at-rest tampering)")
-	}
-	if string(body[:len(snapMagic)]) != snapMagic {
-		return nil, nil, nil, tamper("bad magic")
-	}
-	body = body[len(snapMagic):]
-	if v := binary.LittleEndian.Uint64(body[0:]); v != snapVersion {
-		return nil, nil, nil, tamper(fmt.Sprintf("unsupported version %d", v))
-	}
-	if s := binary.LittleEndian.Uint64(body[8:]); s != seq {
-		return nil, nil, nil, tamper(fmt.Sprintf("embedded seq %d does not match filename seq %d", s, seq))
-	}
-	n := binary.LittleEndian.Uint64(body[16:])
-	if n != uint64(shcfg.Shards) {
-		// The HMAC already verified, so this is an operator config
-		// mismatch, not tampering.
-		return nil, nil, nil, &shard.MismatchError{Field: "shards", Stream: n, Config: uint64(shcfg.Shards)}
-	}
-	body = body[24:]
-	if uint64(len(body)) < n*16 {
-		return nil, nil, nil, tamper("coverage table cut short")
-	}
-	covered := make([]uint64, n)
-	coveredWrites := make([]uint64, n)
-	for i := range covered {
-		covered[i] = binary.LittleEndian.Uint64(body[i*16:])
-		coveredWrites[i] = binary.LittleEndian.Uint64(body[i*16+8:])
-	}
-	sh, err := shard.Load(shcfg, bytes.NewReader(body[n*16:]))
-	if err != nil {
-		return nil, nil, nil, fmt.Errorf("durable: snapshot %s: %w", path, err)
-	}
-	return sh, covered, coveredWrites, nil
 }
 
 // Checkpoint freezes writers, captures an atomic snapshot of the full
@@ -257,7 +142,7 @@ func (m *Memory) checkpoint() error {
 		newLogs[i] = nl
 	}
 
-	if err := m.writeSnapshot(newSeq, covered, coveredWrites); err != nil {
+	if err := m.writeFull(newSeq, covered, coveredWrites); err != nil {
 		for _, l := range newLogs {
 			_ = l.Close()
 			_ = os.Remove(l.Path())
@@ -430,45 +315,19 @@ func Open(shcfg shard.Config, cfg Config) (*Memory, *RecoveryInfo, error) {
 		return nil, nil, err
 	}
 
-	m := &Memory{
-		cfg:     cfg,
-		shcfg:   shcfg,
-		snapKey: snapshotKey(shcfg.Mem.Key),
-		// Nil-safe: a nil registry hands out nil instruments whose
-		// methods no-op, so the uninstrumented path stays branch-free.
-		fsyncLat:  cfg.Obs.Histogram("wal.fsync.latency"),
-		batchHist: cfg.Obs.Histogram("wal.group_commit.batch"),
-		ckptLat:   cfg.Obs.Histogram("durable.checkpoint.latency"),
-		deltaLat:  cfg.Obs.Histogram("durable.delta.latency"),
-		tracer:    cfg.Tracer,
+	sh, err := shard.New(shcfg)
+	if err != nil {
+		return nil, nil, err
 	}
+	m := newMemory(shcfg, cfg, sh)
 	info := &RecoveryInfo{}
 
 	if !haveSnap {
 		// Fresh directory: bootstrap epoch 1 so recovery always starts
 		// from a snapshot.
-		sh, err := shard.New(shcfg)
-		if err != nil {
+		if err := m.bootstrap(nil, nil); err != nil {
 			return nil, nil, err
 		}
-		m.sh = sh
-		m.seq.Store(1)
-		m.segSeq.Store(1)
-		m.initCommitters(nil, nil)
-		if err := m.writeSnapshot(1, make([]uint64, shcfg.Shards), make([]uint64, shcfg.Shards)); err != nil {
-			return nil, nil, err
-		}
-		for i, c := range m.commits {
-			l, err := wal.Create(SegmentPath(cfg.Dir, 1, i), wal.Options{Key: walKey(shcfg.Mem.Key, i, 1)})
-			if err != nil {
-				return nil, nil, err
-			}
-			c.log = l
-		}
-		if err := wal.SyncDir(cfg.Dir); err != nil {
-			return nil, nil, err
-		}
-		m.checkpoints.Add(1)
 		info.Fresh = true
 		info.SnapshotSeq = 1
 		info.CoveredLSN = make([]uint64, shcfg.Shards)
@@ -486,41 +345,30 @@ func Open(shcfg shard.Config, cfg Config) (*Memory, *RecoveryInfo, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		sh, covered, coveredWrites, err := readSnapshot(SnapshotPath(cfg.Dir, baseSeq), baseSeq, m.snapKey, shcfg)
+		key := stateKey(shcfg.Mem.Key)
+		hdr, _, err := ckpt.ReadSegmentFile(SnapshotPath(cfg.Dir, baseSeq), key, ckpt.Snapshot(baseSeq), sh.Engines(), nil)
 		if err != nil {
 			return nil, nil, err
 		}
+		covered, coveredWrites := hdr.CoveredLSN, hdr.CoveredWrites
 		// baseCovered anchors the segment replay (segments belong to the
 		// base epoch); covered advances to the chain head's watermark.
 		baseCovered := append([]uint64(nil), covered...)
 		var replayedAddrs []uint64
-		dKey := deltaKey(shcfg.Mem.Key)
+		// Delta data lines join the sample-verify pool below.
+		onData := func(i int, idx uint64) {
+			replayedAddrs = append(replayedAddrs, (idx*uint64(shcfg.Shards)+uint64(i))*LineBytes)
+		}
 		for _, ent := range chain {
-			hdr, dlines, err := ckpt.ReadDelta(ckpt.DeltaPath(cfg.Dir, ent.Seq, ent.Base), dKey, ent.Seq, ent.Base)
+			hdr, n, err := ckpt.ReadSegmentFile(ckpt.DeltaPath(cfg.Dir, ent.Seq, ent.Base), key, ckpt.Delta(ent.Seq, ent.Base), sh.Engines(), onData)
 			if err != nil {
 				return nil, nil, err
 			}
-			if len(dlines) != shcfg.Shards {
-				return nil, nil, &shard.MismatchError{Field: "shards", Stream: uint64(len(dlines)), Config: uint64(shcfg.Shards)}
-			}
-			for i, shLines := range dlines {
-				eng := sh.Shard(i)
-				for _, d := range shLines {
-					if err := eng.ApplyDeltaLine(d.Level, d.Index, d.Line, d.MAC); err != nil {
-						return nil, nil, err
-					}
-					if d.Level == -1 {
-						// Data lines join the sample-verify pool below.
-						replayedAddrs = append(replayedAddrs, (d.Index*uint64(shcfg.Shards)+uint64(i))*LineBytes)
-					}
-					info.DeltaLines++
-				}
-			}
 			covered = hdr.CoveredLSN
 			coveredWrites = hdr.CoveredWrites
+			info.DeltaLines += n
 			info.DeltasApplied++
 		}
-		m.sh = sh
 		m.seq.Store(head)
 		m.segSeq.Store(baseSeq)
 		m.initCommitters(covered, coveredWrites)
@@ -626,30 +474,71 @@ func Open(shcfg shard.Config, cfg Config) (*Memory, *RecoveryInfo, error) {
 		}
 	}
 
-	if cfg.Sync == SyncInterval {
+	m.start()
+	info.Elapsed = time.Since(start)
+	m.recoveryUS.Store(uint64(info.Elapsed.Microseconds()))
+	return m, info, nil
+}
+
+// newMemory builds the shell around sh that Open and InstallSnapshot fill
+// in.
+func newMemory(shcfg shard.Config, cfg Config, sh *shard.Sharded) *Memory {
+	return &Memory{
+		cfg:   cfg,
+		shcfg: shcfg,
+		sh:    sh,
+		// Nil-safe: a nil registry hands out nil instruments whose
+		// methods no-op, so the uninstrumented path stays branch-free.
+		fsyncLat:  cfg.Obs.Histogram("wal.fsync.latency"),
+		batchHist: cfg.Obs.Histogram("wal.group_commit.batch"),
+		ckptLat:   cfg.Obs.Histogram("durable.checkpoint.latency"),
+		deltaLat:  cfg.Obs.Histogram("durable.delta.latency"),
+		tracer:    cfg.Tracer,
+	}
+}
+
+// bootstrap makes m.sh epoch 1 of an empty directory: snapshot.1 covering
+// the given journal positions (nil: nothing journaled yet) and fresh WAL
+// segments that continue from them.
+func (m *Memory) bootstrap(covered, coveredWrites []uint64) error {
+	if covered == nil {
+		covered = make([]uint64, m.shcfg.Shards)
+		coveredWrites = make([]uint64, m.shcfg.Shards)
+	}
+	m.seq.Store(1)
+	m.segSeq.Store(1)
+	m.initCommitters(covered, coveredWrites)
+	if err := m.writeFull(1, covered, coveredWrites); err != nil {
+		return err
+	}
+	for i, c := range m.commits {
+		l, err := wal.Create(SegmentPath(m.cfg.Dir, 1, i), wal.Options{Key: walKey(m.shcfg.Mem.Key, i, 1)})
+		if err != nil {
+			return err
+		}
+		c.log = l
+	}
+	if err := wal.SyncDir(m.cfg.Dir); err != nil {
+		return err
+	}
+	m.checkpoints.Add(1)
+	return nil
+}
+
+// start launches the SyncInterval flusher once the memory is assembled.
+func (m *Memory) start() {
+	if m.cfg.Sync == SyncInterval {
 		m.stopc = make(chan struct{})
 		m.wg.Add(1)
 		go m.flusher()
 	}
-	info.Elapsed = time.Since(start)
-	m.recoveryUS.Store(uint64(info.Elapsed.Microseconds()))
-	return m, info, nil
 }
 
 // initCommitters builds the per-shard committers (logs attached later).
 func (m *Memory) initCommitters(covered, coveredWrites []uint64) {
 	m.commits = make([]*committer, m.shcfg.Shards)
 	for i := range m.commits {
-		c := &committer{shard: i, eng: m.sh.Shard(i)}
-		if covered != nil {
-			c.lsn = covered[i]
-			c.synced = covered[i]
-			c.baseLSN = covered[i]
-		}
-		if coveredWrites != nil {
-			c.writes = coveredWrites[i]
-		}
-		m.commits[i] = c
+		m.commits[i] = &committer{shard: i, eng: m.sh.Shard(i),
+			lsn: covered[i], synced: covered[i], baseLSN: covered[i], writes: coveredWrites[i]}
 	}
 }
-

@@ -1,7 +1,5 @@
 package secmem
 
-import "fmt"
-
 // Dirty-line tracking: every store mutation stamps the line with the
 // engine's current dirty epoch, so an incremental checkpoint can collect
 // exactly the lines modified since the last committed collection. The
@@ -17,17 +15,6 @@ import "fmt"
 // delta reached stable storage. A crash or write error between the two
 // re-collects the same lines next time.
 
-// DirtyLine is one modified line captured by CollectDirty: Level -1 is a
-// data line (Line = ciphertext, MAC set), levels 0..root-1 are stored
-// counter lines, and Level == root is the on-chip root's encoding (always
-// included — it changes on every write and anchors verification).
-type DirtyLine struct {
-	Level int32
-	Index uint64
-	Line  []byte
-	MAC   uint64
-}
-
 // initDirty sizes the stamp arrays from the geometry. Epoch 0 means
 // never-written (clean); the live epoch starts at 1.
 func (m *Memory) initDirty() {
@@ -40,37 +27,21 @@ func (m *Memory) initDirty() {
 	m.dirtyFloor = 1
 }
 
-// CollectDirty captures a copy of every line modified since the last
-// committed collection (plus the root line, always) and returns the cut
-// epoch. The capture runs entirely under the engine lock, so it is a
-// consistent point-in-time cut: fn must not call back into the engine.
-// Lines written after CollectDirty returns carry a later stamp and belong
-// to the next collection. The dirty floor does NOT advance until
-// CommitDirty(cut) — if persisting the collection fails, the same lines
-// are re-collected.
-func (m *Memory) CollectDirty(fn func(DirtyLine)) uint32 {
+// CollectDirty appends the line records of every line modified since the
+// last committed collection (plus the root line, always) to buf, in the
+// state-segment layout (see segment.go), and returns the grown buffer,
+// the cut epoch and the number of records. The capture runs entirely
+// under the engine lock, so it is a consistent point-in-time cut. Lines
+// written after CollectDirty returns carry a later stamp and belong to the
+// next collection. The dirty floor does NOT advance until CommitDirty(cut)
+// — if persisting the collection fails, the same lines are re-collected.
+func (m *Memory) CollectDirty(buf []byte) ([]byte, uint32, int) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	cut := m.dirtyCur
 	m.dirtyCur++
-	fn(DirtyLine{Level: int32(m.geom.RootLevel()), Line: m.root.Encode()})
-	for lvl, stamps := range m.dirtyCtr {
-		for idx, s := range stamps {
-			if s < m.dirtyFloor {
-				continue
-			}
-			raw := m.store.levels[lvl][uint64(idx)]
-			fn(DirtyLine{Level: int32(lvl), Index: uint64(idx), Line: append([]byte(nil), raw...)})
-		}
-	}
-	for idx, s := range m.dirtyData {
-		if s < m.dirtyFloor {
-			continue
-		}
-		d := uint64(idx)
-		fn(DirtyLine{Level: -1, Index: d, Line: append([]byte(nil), m.store.data[d]...), MAC: m.store.dataMAC[d]})
-	}
-	return cut
+	buf, n, _ := m.appendRecords(buf, true, nil)
+	return buf, cut, n
 }
 
 // CommitDirty marks the collection at cut as durably persisted: lines
@@ -112,45 +83,4 @@ func (m *Memory) DirtyCount() int {
 		}
 	}
 	return n
-}
-
-// ApplyDeltaLine installs one line from an authenticated delta segment
-// into the store, bypassing the journal: recovery replays deltas onto a
-// loaded base snapshot before the WAL tail. The applied line keeps its
-// clean stamp (the delta chain already covers it), and any cached trusted
-// block for the line is invalidated so later reads re-verify against the
-// applied bytes.
-func (m *Memory) ApplyDeltaLine(level int32, idx uint64, line []byte, mac uint64) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	switch {
-	case level == int32(m.geom.RootLevel()):
-		if len(line) != LineBytes {
-			return fmt.Errorf("secmem: delta root line is %d bytes, want %d", len(line), LineBytes)
-		}
-		blk, err := m.cfg.specAt(m.geom.RootLevel()).Decode(line)
-		if err != nil {
-			return fmt.Errorf("secmem: delta root: %w", err)
-		}
-		m.root = blk
-		m.flushMetadataCache()
-	case level == -1:
-		if idx >= m.geom.DataLines {
-			return fmt.Errorf("secmem: delta data line %d beyond capacity %d", idx, m.geom.DataLines)
-		}
-		if len(line) != LineBytes {
-			return fmt.Errorf("secmem: delta data line is %d bytes, want %d", len(line), LineBytes)
-		}
-		m.store.data[idx] = append([]byte(nil), line...)
-		m.store.dataMAC[idx] = mac
-	case level >= 0 && int(level) < m.geom.RootLevel():
-		if idx >= m.geom.LevelEntries(int(level)) {
-			return fmt.Errorf("secmem: delta level-%d line %d beyond level size %d", level, idx, m.geom.LevelEntries(int(level)))
-		}
-		m.store.levels[level][idx] = append([]byte(nil), line...)
-		delete(m.trusted[level], idx)
-	default:
-		return fmt.Errorf("secmem: delta line level %d out of range", level)
-	}
-	return nil
 }

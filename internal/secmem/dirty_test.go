@@ -2,13 +2,47 @@ package secmem
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"testing"
 )
 
-func collectAll(m *Memory) (uint32, []DirtyLine) {
-	var out []DirtyLine
-	cut := m.CollectDirty(func(d DirtyLine) { out = append(out, d) })
-	return cut, out
+// record is one line record of a CollectDirty capture: level -1 is a data
+// line, RootLevel the root.
+type record struct {
+	Level int32
+	Index uint64
+}
+
+func collectAll(m *Memory) (uint32, []record) {
+	buf, cut, n := m.CollectDirty(nil)
+	recs := parseRecords(m, buf)
+	if len(recs) != n {
+		panic("CollectDirty record count disagrees with its buffer")
+	}
+	return cut, recs
+}
+
+// parseRecords walks one engine's records in the state-segment layout.
+func parseRecords(m *Memory, buf []byte) []record {
+	out := []record{{Level: int32(m.geom.RootLevel())}}
+	buf = buf[LineBytes:]
+	list := func(level int32, size int) {
+		n := binary.LittleEndian.Uint64(buf)
+		buf = buf[8:]
+		for j := uint64(0); j < n; j++ {
+			out = append(out, record{Level: level, Index: binary.LittleEndian.Uint64(buf)})
+			buf = buf[size:]
+		}
+	}
+	for lvl := 0; lvl < m.geom.RootLevel(); lvl++ {
+		list(int32(lvl), ctrRecord)
+	}
+	list(-1, dataRecord)
+	if len(buf) != 0 {
+		panic("trailing bytes after the records")
+	}
+	return out
 }
 
 func TestDirtyCollectCommitCycle(t *testing.T) {
@@ -131,16 +165,20 @@ func TestDirtyDeltaApplyRoundTrip(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			_, delta := collectAll(m)
+			delta := AppendSegmentHeader(nil, SegmentHeader{Seq: 2, Base: 1}, []*Memory{m})
+			delta, _, _ = m.CollectDirty(delta)
 
 			stale, err := Load(cfg, &base)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, d := range delta {
-				if err := stale.ApplyDeltaLine(d.Level, d.Index, d.Line, d.MAC); err != nil {
-					t.Fatal(err)
-				}
+			// Warm the stale engine's trusted cache, so the apply must
+			// drop what it supersedes.
+			if _, err := stale.Read(0); err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := ReadSegment(bytes.NewReader(delta), []*Memory{stale}, 2, 1, nil); err != nil {
+				t.Fatal(err)
 			}
 			for i := uint64(0); i < 96; i++ {
 				addr := i * 64 * 3 % (1 << 20) &^ 63
@@ -160,17 +198,46 @@ func TestDirtyDeltaApplyRoundTrip(t *testing.T) {
 	}
 }
 
-func TestApplyDeltaLineRejectsBadInput(t *testing.T) {
+// TestApplyRecordsRejectsBadInput: the one record decoder refuses a line
+// at a level index beyond that level, a data index beyond capacity, a
+// count beyond the geometry and a short line, each as an IntegrityError.
+func TestApplyRecordsRejectsBadInput(t *testing.T) {
 	cfg := configs(1 << 20)["MorphCtr-128"]
 	m := mustNew(t, cfg)
-	if err := m.ApplyDeltaLine(-1, 1<<40, make([]byte, LineBytes), 0); err == nil {
-		t.Fatal("out-of-range data index accepted")
+	u64 := binary.LittleEndian.AppendUint64
+	// segment builds a one-shard segment whose stored counter levels are
+	// empty except for level ctrLvl, which gets ctr, followed by data.
+	segment := func(ctrLvl int, ctr, data []byte) []byte {
+		buf := AppendSegmentHeader(nil, SegmentHeader{}, []*Memory{m})
+		buf = append(buf, m.root.Encode()...)
+		for lvl := 0; lvl < m.geom.RootLevel(); lvl++ {
+			if lvl == ctrLvl {
+				buf = append(buf, ctr...)
+				continue
+			}
+			buf = u64(buf, 0)
+		}
+		return append(buf, data...)
 	}
-	if err := m.ApplyDeltaLine(-1, 0, make([]byte, 3), 0); err == nil {
-		t.Fatal("short data line accepted")
+	line := make([]byte, LineBytes)
+	top := m.geom.RootLevel() - 1
+	cases := map[string][]byte{
+		"bad level":             segment(top, append(u64(u64(nil, 1), m.geom.LevelEntries(top)), line...), u64(nil, 0)),
+		"out-of-range index":    segment(-1, nil, append(u64(u64(nil, 1), 1<<40), append(line, make([]byte, 8)...)...)),
+		"count beyond geometry": segment(-1, nil, u64(nil, 1<<32)),
+		"short line":            segment(-1, nil, append(u64(u64(nil, 1), 0), 3, 4, 5)),
 	}
-	if err := m.ApplyDeltaLine(99, 0, make([]byte, LineBytes), 0); err == nil {
-		t.Fatal("bogus level accepted")
+	for name, raw := range cases {
+		_, _, err := ReadSegment(bytes.NewReader(raw), []*Memory{mustNew(t, cfg)}, 0, 0, nil)
+		var ie *IntegrityError
+		if !errors.As(err, &ie) {
+			t.Fatalf("%s: got %v, want IntegrityError", name, err)
+		}
+	}
+	// The same helper with a well-formed line list decodes cleanly.
+	ok := segment(-1, nil, append(u64(u64(nil, 1), 0), append(line, make([]byte, 8)...)...))
+	if _, _, err := ReadSegment(bytes.NewReader(ok), []*Memory{mustNew(t, cfg)}, 0, 0, nil); err != nil {
+		t.Fatalf("well-formed segment: %v", err)
 	}
 }
 

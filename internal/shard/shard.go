@@ -12,8 +12,6 @@
 package shard
 
 import (
-	"bytes"
-	"encoding/binary"
 	"fmt"
 	"io"
 
@@ -375,107 +373,36 @@ func (s *Sharded) FlipDataBit(addr uint64, byteOff int, bit uint) bool {
 	return s.shards[idx].Store().FlipBit(local/LineBytes, byteOff, bit)
 }
 
-const (
-	saveMagic   = "MTSH"
-	saveVersion = 1
-)
+// MismatchError reports a Save stream whose layout (shard count, capacity,
+// counter organization or format version) disagrees with the Config passed
+// to Load. Loading such a stream anyway would deal lines to the wrong
+// shards (every address maps through d % Shards), so it is rejected before
+// any state is built; callers distinguish operator misconfiguration from
+// stream corruption by this type. It is the state codec's error type.
+type MismatchError = secmem.MismatchError
 
-// MismatchError reports a Save stream whose embedded layout disagrees with
-// the Config passed to Load. Loading such a stream anyway would deal lines
-// to the wrong shards (every address maps through d % Shards), so the
-// mismatch is rejected with this typed error before any state is built;
-// callers distinguish operator misconfiguration from stream corruption.
-type MismatchError struct {
-	// Field names the disagreeing layout parameter: "version", "shards",
-	// or "capacity".
-	Field string
-	// Stream is the value embedded in the Save stream.
-	Stream uint64
-	// Config is the value the caller's Config describes.
-	Config uint64
-}
+// Engines returns the shard engines in shard order — the slice the state
+// codec reads and writes. It is shared, not a copy.
+func (s *Sharded) Engines() []*secmem.Memory { return s.shards }
 
-// Error implements error.
-func (e *MismatchError) Error() string {
-	return fmt.Sprintf("shard: load: stream %s %d does not match config %s %d", e.Field, e.Stream, e.Field, e.Config)
-}
-
-// Save serializes every shard's state (via secmem's persistence format,
-// each blob length-prefixed so streams stay delimited) plus the shard
-// layout, for the wire SNAPSHOT op.
+// Save writes every shard's state as one state segment (secmem's codec,
+// without the authenticated envelope the durability layer adds) for the
+// wire SNAPSHOT op and restarts of volatile stores.
 func (s *Sharded) Save(w io.Writer) error {
-	if _, err := io.WriteString(w, saveMagic); err != nil {
-		return fmt.Errorf("shard: save: %w", err)
-	}
-	var hdr [24]byte
-	binary.LittleEndian.PutUint64(hdr[0:], saveVersion)
-	binary.LittleEndian.PutUint64(hdr[8:], uint64(s.cfg.Shards))
-	binary.LittleEndian.PutUint64(hdr[16:], s.cfg.Mem.MemoryBytes)
-	if _, err := w.Write(hdr[:]); err != nil {
-		return fmt.Errorf("shard: save: %w", err)
-	}
-	var buf bytes.Buffer
-	for i, m := range s.shards {
-		buf.Reset()
-		if err := m.Save(&buf); err != nil {
-			return fmt.Errorf("shard %d: %w", i, err)
-		}
-		var n [8]byte
-		binary.LittleEndian.PutUint64(n[:], uint64(buf.Len()))
-		if _, err := w.Write(n[:]); err != nil {
-			return fmt.Errorf("shard: save: %w", err)
-		}
-		if _, err := w.Write(buf.Bytes()); err != nil {
-			return fmt.Errorf("shard: save: %w", err)
-		}
-	}
-	return nil
+	return secmem.WriteSegment(w, secmem.SegmentHeader{}, s.shards)
 }
 
 // Load reconstructs a sharded memory from a Save stream. cfg must describe
 // the same layout (shard count, capacity, counter organization, master key)
-// the state was saved under.
+// the state was saved under. A malformed stream is a typed error: a layout
+// disagreement is *MismatchError, anything else *secmem.IntegrityError.
 func Load(cfg Config, r io.Reader) (*Sharded, error) {
-	magic := make([]byte, len(saveMagic))
-	if _, err := io.ReadFull(r, magic); err != nil || string(magic) != saveMagic {
-		return nil, fmt.Errorf("shard: load: bad magic")
+	s, err := New(cfg)
+	if err != nil {
+		return nil, err
 	}
-	var hdr [24]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	if _, _, err := secmem.ReadSegment(r, s.shards, 0, 0, nil); err != nil {
 		return nil, fmt.Errorf("shard: load: %w", err)
-	}
-	if v := binary.LittleEndian.Uint64(hdr[0:]); v != saveVersion {
-		return nil, &MismatchError{Field: "version", Stream: v, Config: saveVersion}
-	}
-	if n := binary.LittleEndian.Uint64(hdr[8:]); n != uint64(cfg.Shards) {
-		return nil, &MismatchError{Field: "shards", Stream: n, Config: uint64(cfg.Shards)}
-	}
-	if mb := binary.LittleEndian.Uint64(hdr[16:]); mb != cfg.Mem.MemoryBytes {
-		return nil, &MismatchError{Field: "capacity", Stream: mb, Config: cfg.Mem.MemoryBytes}
-	}
-	s := &Sharded{cfg: cfg, shards: make([]*secmem.Memory, cfg.Shards)}
-	for i := range s.shards {
-		var n [8]byte
-		if _, err := io.ReadFull(r, n[:]); err != nil {
-			return nil, fmt.Errorf("shard: load: %w", err)
-		}
-		blob := make([]byte, binary.LittleEndian.Uint64(n[:]))
-		if _, err := io.ReadFull(r, blob); err != nil {
-			return nil, fmt.Errorf("shard %d: load: %w", i, err)
-		}
-		sub := cfg.Mem
-		sub.MemoryBytes = cfg.Mem.MemoryBytes / uint64(cfg.Shards)
-		key, err := deriveKey(cfg.Mem.Key, i)
-		if err != nil {
-			return nil, err
-		}
-		sub.Key = key
-		m, err := secmem.Load(sub, bytes.NewReader(blob))
-		if err != nil {
-			return nil, fmt.Errorf("shard %d: %w", i, err)
-		}
-		cfg.instrument(m, i)
-		s.shards[i] = m
 	}
 	return s, nil
 }

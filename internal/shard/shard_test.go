@@ -283,12 +283,74 @@ func TestLoadLayoutMismatchIsTyped(t *testing.T) {
 	// A tampered version field is typed the same way.
 	raw := buf.Bytes()
 	bad := append([]byte{}, raw...)
-	binary.LittleEndian.PutUint64(bad[len(saveMagic):], 99)
+	binary.LittleEndian.PutUint64(bad[len("MTSG"):], 99) // the u64 after the magic
 	_, err := Load(cfg, bytes.NewReader(bad))
 	var me *MismatchError
 	if !errors.As(err, &me) || me.Field != "version" {
 		t.Fatalf("tampered version: Load returned %v, want *MismatchError{Field: version}", err)
 	}
+}
+
+// TestLoadForgedCountIsTyped: a raw Save payload whose data count claims
+// 2^32 lines is refused as an IntegrityError, bounded by the geometry
+// before any map or line buffer is sized from it.
+func TestLoadForgedCountIsTyped(t *testing.T) {
+	cfg := testConfig(t, 1, 1<<14, "morph128")
+	s := mustNew(t, cfg)
+	var buf bytes.Buffer
+	if err := s.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	// A blank engine saves no lines, so its payload ends with the data
+	// count: forge it.
+	raw := buf.Bytes()
+	binary.LittleEndian.PutUint64(raw[len(raw)-8:], 1<<32)
+	_, err := Load(cfg, bytes.NewReader(raw))
+	var ie *secmem.IntegrityError
+	if !errors.As(err, &ie) {
+		t.Fatalf("forged count: Load returned %v, want *secmem.IntegrityError", err)
+	}
+}
+
+// FuzzShardLoad feeds arbitrary bytes to Load, seeded with a multi-shard
+// full state, a delta-shaped payload (dirty records only) and a one-shard
+// state. Load must never panic, and every error must be typed.
+func FuzzShardLoad(f *testing.F) {
+	full := testConfig(f, 2, 1<<14, "morph128")
+	one := testConfig(f, 1, 1<<13, "morph128")
+	s := mustNew(f, full)
+	for i := 0; i < 16; i++ {
+		if err := s.Write(uint64(i)*LineBytes, fill(uint64(i), 5)); err != nil {
+			f.Fatal(err)
+		}
+	}
+	var buf bytes.Buffer
+	if err := s.Save(&buf); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(false, buf.Bytes())
+	delta := secmem.AppendSegmentHeader(nil, secmem.SegmentHeader{}, s.Engines())
+	for _, m := range s.Engines() {
+		delta, _, _ = m.CollectDirty(delta)
+	}
+	f.Add(false, delta)
+	buf.Reset()
+	if err := s.Shard(1).Save(&buf); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(true, buf.Bytes())
+	f.Fuzz(func(t *testing.T, oneShard bool, data []byte) {
+		cfg := full
+		if oneShard {
+			cfg = one
+		}
+		_, err := Load(cfg, bytes.NewReader(data))
+		var ie *secmem.IntegrityError
+		var me *MismatchError
+		if err != nil && !errors.As(err, &ie) && !errors.As(err, &me) {
+			t.Fatalf("untyped error: %v", err)
+		}
+	})
 }
 
 // TestConcurrentClients drives every shard from parallel goroutines; under

@@ -155,11 +155,13 @@ type ReplicateResponse struct {
 	// Batches holds one sealed wal.Codec frame run per shard (nil/empty =
 	// nothing new). Empty when Snapshot is set.
 	Batches [][]byte
-	// Snapshot, when non-nil, is a full-state blob (shard.Save format)
-	// covering SnapMarks; the follower must discard its local state and
-	// InstallSnapshot instead of applying batches.
+	// Snapshot, when non-nil, is a sealed full-state segment (see
+	// durable.SaveMarks) covering SnapMarks; the follower must discard its
+	// local state and InstallSnapshot instead of applying batches.
 	Snapshot []byte
-	// SnapMarks is the per-shard LSN vector Snapshot covers.
+	// SnapMarks is the per-shard LSN vector Snapshot covers. The follower
+	// installs the copy inside Snapshot's authenticated header; this one
+	// is informational.
 	SnapMarks []uint64
 }
 
